@@ -17,7 +17,9 @@ type Hooks struct {
 	// before the receiver processes it.
 	OnDeliver func(at time.Duration, msg Message)
 	// OnSuppress fires when a (router, peer, prefix) damping state flips
-	// suppression on (suppressed=true) or off (false).
+	// suppression on (suppressed=true) or off (false). A router crash
+	// discards its damping state and fires it once with suppressed=false
+	// for every suppressed state it discards.
 	OnSuppress func(at time.Duration, router, peer RouterID, prefix Prefix, suppressed bool)
 	// OnReuse fires when a reuse timer successfully lifts suppression.
 	// noisy reports whether the reuse changed the router's best path (and

@@ -813,12 +813,19 @@ func (r *Router) resetDamping() {
 // Local-RIB, damping state, RCN histories — and cancels every pending timer.
 // Only the origin set and the RCN sequencers survive: the former models
 // static configuration that outlives a reboot, the latter keeps root-cause
-// sequence numbers monotonic across the restart.
+// sequence numbers monotonic across the restart. Every suppressed state it
+// discards is reported through OnSuppress(false), so observers counting
+// suppressions stay in step with the engine.
 func (r *Router) crash() {
-	for s := range r.peers {
+	now := r.net.kernel.Now()
+	for s, peer := range r.peers {
 		colIn := r.ribIn[s]
 		for i := range colIn {
-			colIn[i].reuseTimer.Cancel()
+			e := &colIn[i]
+			e.reuseTimer.Cancel()
+			if h := r.net.hooks.OnSuppress; h != nil && e.seen && e.damp != nil && e.damp.Suppressed() {
+				h(now, r.id, peer, r.net.prefixes[i], false)
+			}
 		}
 		clear(colIn)
 		colOut := r.ribOut[s]

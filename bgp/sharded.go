@@ -35,10 +35,14 @@ type remoteMsg struct {
 // collect in per-shard outboxes and are injected at the barrier in
 // (time, source shard, sequence) order, making runs independent of goroutine
 // scheduling and byte-identical to the sequential engine per seed.
+//
+// One shard is the sequential engine: a lone shard network owns every
+// router, sends nothing across shards, and its group drives the kernel
+// directly, so it needs no lookahead and keeps no outbox.
 type ShardedNetwork struct {
 	graph   *topology.Graph
 	cfg     Config
-	owner   []int32
+	owner   []int32 // nil for one shard
 	shards  []*Network
 	kernels []*sim.Kernel
 	group   *sim.ShardGroup
@@ -60,22 +64,26 @@ func Lookahead(cfg Config) (time.Duration, error) {
 
 // NewShardedNetwork partitions g's routers across shards per assign (node id
 // → shard, as produced by topology.Partition) and builds one shard network
-// per shard on a fresh kernel. Every Option is applied to the group.
+// per shard on a fresh kernel. A nil assign, or one naming a single shard,
+// builds the one-shard ensemble. Every Option is applied to the group.
 func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...sim.GroupOption) (*ShardedNetwork, error) {
-	if len(assign) != g.NumNodes() {
+	if assign != nil && len(assign) != g.NumNodes() {
 		return nil, fmt.Errorf("bgp: partition covers %d nodes, topology has %d", len(assign), g.NumNodes())
 	}
-	nshards := 0
+	nshards := 1
 	for v, s := range assign {
 		if s < 0 {
 			return nil, fmt.Errorf("bgp: node %d unassigned", v)
 		}
-		if int(s)+1 > nshards {
-			nshards = int(s) + 1
-		}
+		nshards = max(nshards, int(s)+1)
 	}
 	lookahead, err := Lookahead(cfg)
-	if err != nil {
+	switch {
+	case nshards == 1:
+		// The lone kernel exchanges nothing and its group never reads the
+		// bound; any positive value satisfies the group's constructor.
+		assign, lookahead = nil, max(lookahead, time.Nanosecond)
+	case err != nil:
 		return nil, err
 	}
 	sn := &ShardedNetwork{
@@ -84,8 +92,6 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...si
 		owner:   assign,
 		shards:  make([]*Network, nshards),
 		kernels: make([]*sim.Kernel, nshards),
-		outbox:  make([][]remoteMsg, nshards),
-		seq:     make([]uint64, nshards),
 	}
 	for s := 0; s < nshards; s++ {
 		k := sim.NewKernel(sim.WithSeed(cfg.Seed))
@@ -93,10 +99,10 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...si
 		if err != nil {
 			return nil, err
 		}
-		sn.bindShard(n, int32(s))
 		sn.kernels[s] = k
 		sn.shards[s] = n
 	}
+	sn.bind(nil)
 	group, err := sim.NewShardGroup(lookahead, sn.kernels, sn, opts...)
 	if err != nil {
 		return nil, err
@@ -105,12 +111,23 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...si
 	return sn, nil
 }
 
-// bindShard points a shard network's remote-send callback at this ensemble's
-// outbox (used at construction and again after Fork).
-func (sn *ShardedNetwork) bindShard(n *Network, s int32) {
-	n.remoteSend = func(at time.Duration, msg Message, gen uint64) {
-		sn.seq[s]++
-		sn.outbox[s] = append(sn.outbox[s], remoteMsg{at: at, msg: msg, gen: gen, src: s, seq: sn.seq[s]})
+// bind gives a multi-shard ensemble its outboxes, resuming the per-shard
+// send sequences at from (nil: zero), and points every shard network's
+// remote-send callback at them (used at construction and again after Fork).
+// A lone shard sends nothing remotely and needs neither.
+func (sn *ShardedNetwork) bind(from []uint64) {
+	if len(sn.shards) == 1 {
+		return
+	}
+	sn.seq = make([]uint64, len(sn.shards))
+	copy(sn.seq, from)
+	sn.outbox = make([][]remoteMsg, len(sn.shards))
+	for s, n := range sn.shards {
+		s := int32(s)
+		n.remoteSend = func(at time.Duration, msg Message, gen uint64) {
+			sn.seq[s]++
+			sn.outbox[s] = append(sn.outbox[s], remoteMsg{at: at, msg: msg, gen: gen, src: s, seq: sn.seq[s]})
+		}
 	}
 }
 
@@ -168,12 +185,6 @@ func (sn *ShardedNetwork) Group() *sim.ShardGroup { return sn.group }
 // Close stops the group's worker goroutines.
 func (sn *ShardedNetwork) Close() { sn.group.Close() }
 
-// Graph returns the underlying topology.
-func (sn *ShardedNetwork) Graph() *topology.Graph { return sn.graph }
-
-// Config returns the ensemble's configuration.
-func (sn *ShardedNetwork) Config() Config { return sn.cfg }
-
 // NumShards returns the shard count.
 func (sn *ShardedNetwork) NumShards() int { return len(sn.shards) }
 
@@ -181,14 +192,19 @@ func (sn *ShardedNetwork) NumShards() int { return len(sn.shards) }
 func (sn *ShardedNetwork) Shard(s int) *Network { return sn.shards[s] }
 
 // Owner returns the shard owning router id.
-func (sn *ShardedNetwork) Owner(id RouterID) int32 { return sn.owner[id] }
+func (sn *ShardedNetwork) Owner(id RouterID) int32 {
+	if sn.owner == nil {
+		return 0
+	}
+	return sn.owner[id]
+}
 
 // Router returns the live instance of router id (from its owning shard).
 func (sn *ShardedNetwork) Router(id RouterID) *Router {
-	if id < 0 || int(id) >= len(sn.owner) {
+	if id < 0 || int(id) >= sn.graph.NumNodes() {
 		return nil
 	}
-	return sn.shards[sn.owner[id]].Router(id)
+	return sn.shards[sn.Owner(id)].Router(id)
 }
 
 // Now returns the ensemble's virtual clock (max across shards).
@@ -227,15 +243,6 @@ func (sn *ShardedNetwork) PendingDeliveries() int {
 	}
 	for _, box := range sn.outbox {
 		total += len(box)
-	}
-	return total
-}
-
-// PendingAnnouncements sums MRAI-held announcements across shards.
-func (sn *ShardedNetwork) PendingAnnouncements() int {
-	total := 0
-	for _, n := range sn.shards {
-		total += n.PendingAnnouncements()
 	}
 	return total
 }
@@ -290,22 +297,6 @@ func (sn *ShardedNetwork) DampedLinkCount() int {
 		total += n.DampedLinkCount()
 	}
 	return total
-}
-
-// Prefixes returns the sorted union of prefixes across shards.
-func (sn *ShardedNetwork) Prefixes() []Prefix {
-	set := make(map[Prefix]struct{})
-	for _, n := range sn.shards {
-		for _, p := range n.Prefixes() {
-			set[p] = struct{}{}
-		}
-	}
-	out := make([]Prefix, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sortPrefixes(out)
-	return out
 }
 
 // SetLinkState applies the link fault to every shard's replicated state —
@@ -444,8 +435,6 @@ func (sn *ShardedNetwork) Fork() (*ShardedNetwork, error) {
 		cfg:    sn.cfg,
 		owner:  sn.owner,
 		shards: make([]*Network, len(sn.shards)),
-		outbox: make([][]remoteMsg, len(sn.shards)),
-		seq:    append([]uint64(nil), sn.seq...),
 	}
 	group, err := sn.group.Fork(f)
 	if err != nil {
@@ -458,9 +447,9 @@ func (sn *ShardedNetwork) Fork() (*ShardedNetwork, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.bindShard(fn, int32(s))
 		f.shards[s] = fn
 	}
+	f.bind(sn.seq)
 	return f, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,17 +103,15 @@ func TestSweepCancelMidFlight(t *testing.T) {
 	before := numGoroutineSettled()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		// Let the sweep get going, then pull the plug.
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-		close(done)
-	}()
+	defer cancel()
+	// Let the sweep get going, then pull the plug: the first point to start
+	// cancels, so the cancel always lands while points are still running or
+	// queued, however fast the runs are.
+	var once sync.Once
+	ctx = WithProgress(ctx, &Progress{PointStarted: func(int) { once.Do(cancel) }})
 	start := time.Now()
 	pts, err := SweepParallelContext(ctx, base, PulseRange(0, 20), 4)
 	elapsed := time.Since(start)
-	<-done
 
 	if err == nil {
 		t.Skip("sweep finished before the cancel landed; nothing to assert")

@@ -45,11 +45,10 @@ type Options struct {
 	// engine; damping.EngineWheel switches to the timer-wheel backend and
 	// makes every run cache-distinct from its exact-engine twin.
 	DampingEngine damping.EngineKind
-	// Shards, when > 1, runs every figure scenario on the sharded engine
-	// (Scenario.Shards). Figures come out identical — the shard count is an
-	// execution detail, not a simulation input — but sharded sweeps run each
-	// point from scratch instead of forking a shared warm-up checkpoint.
-	// Incompatible with Check (the invariant checker is sequential-engine).
+	// Shards, when > 1, partitions every figure scenario across that many
+	// shards (Scenario.Shards). Figures come out identical — the shard count
+	// is an execution detail, not a simulation input. Incompatible with Check
+	// (the invariant checker observes a single shard).
 	Shards int
 	// Ctx, when non-nil, supervises every run and sweep the figure executes:
 	// cancelling it stops the figure with a typed ErrCanceled, a deadline

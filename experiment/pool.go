@@ -13,9 +13,9 @@ const DefaultPoolSize = 16
 
 // CheckpointPool caches converged warm-up checkpoints keyed by the scenario's
 // warm-up identity (the SHA-256 fingerprint base — everything but the pulse
-// count — plus the engine shard count, since a checkpoint parks
-// engine-specific kernel state even though Result fingerprints deliberately
-// ignore Shards). A hot scenario served repeatedly skips warm-up entirely:
+// count — plus the shard count, since a checkpoint parks its partition in
+// the kernel state even though Result fingerprints deliberately ignore
+// Shards). A hot scenario served repeatedly skips warm-up entirely:
 // the first request converges and parks the snapshot, every later request —
 // any pulse count, sweep or single run — forks it.
 //

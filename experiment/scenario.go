@@ -68,13 +68,16 @@ type Scenario struct {
 	// refer to the base graph; use OriginID() for the attached origin.
 	Watch []PenaltyWatch
 	// Trace, when non-nil, records every flap-phase event into the log
-	// (times are flap-relative, like all Result times).
+	// (times are flap-relative, like all Result times), appended after the
+	// drain in canonical (At, Router) order.
 	Trace *trace.Log
-	// Impair, when non-nil, is installed on the network after warm-up, so
+	// Impair, when non-nil, is forked onto every shard after warm-up, so
 	// the flap phase and drain run under message loss / delay jitter while
-	// the warm-up stays clean. A lossy run may legitimately end with
-	// divergent RIBs (dropped updates are never retransmitted), so the
-	// post-run consistency check is fatal only when Impair is nil.
+	// the warm-up stays clean. The run consumes only its forks: the
+	// caller's model is never installed or mutated. A lossy run may
+	// legitimately end with divergent RIBs (dropped updates are never
+	// retransmitted), so the post-run consistency check is fatal only when
+	// Impair is nil.
 	Impair *faults.Impairments
 	// Faults, when non-nil, is applied after warm-up with the first flap as
 	// its epoch: every Event.At is relative to the same clock zero as the
@@ -84,15 +87,16 @@ type Scenario struct {
 	// instead of a bare kernel run: quiescent-instant consistency checks,
 	// livelock abort, and a FaultReport on the Result.
 	Watchdog *faults.WatchdogConfig
-	// Shards, when > 1, runs the scenario on the sharded engine: the run
-	// topology is partitioned across Shards shard kernels coordinated by
-	// conservative-lookahead epochs (sim.ShardGroup). Results are
-	// reconstructed from the merged per-shard event traces and are identical
-	// to a Shards<=1 run of the same scenario — the shard count is an
-	// execution detail, not a simulation input, which is why Fingerprint
-	// ignores it. Sharded runs require MinLinkDelay+MinProcDelay > 0 and are
-	// incompatible with Watchdog, Check, and impairment models that are not
-	// in per-link stream mode (faults.Impairments.UseLinkStreams).
+	// Shards is the number of shards the run topology is partitioned
+	// across. Every run executes on a bgp.ShardedNetwork: Shards<=1 is the
+	// one-shard ensemble, whose kernel is driven directly; Shards>1 runs
+	// Shards kernels under conservative-lookahead epochs (sim.ShardGroup).
+	// Each shard records into its own partial Result and the partials are
+	// merged, so the Result is identical for every shard count — the shard
+	// count is an execution detail, not a simulation input, which is why
+	// Fingerprint ignores it. Shards>1 requires MinLinkDelay+MinProcDelay >
+	// 0 and is incompatible with Watchdog, Check, and impairment models that
+	// are not in per-link stream mode (faults.Impairments.UseLinkStreams).
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -131,6 +135,30 @@ func (s Scenario) validate() error {
 		return err
 	}
 	return s.Config.Validate()
+}
+
+// validateSharded checks Shards against the features that need a single
+// shard. A Shards<=1 scenario is unconstrained.
+func (s Scenario) validateSharded() error {
+	if s.Shards < 0 {
+		return fmt.Errorf("experiment: negative shard count %d", s.Shards)
+	}
+	if s.Shards <= 1 {
+		return nil
+	}
+	if s.Watchdog != nil {
+		return fmt.Errorf("experiment: the convergence watchdog drives a single kernel; it cannot supervise a sharded run (Shards=%d)", s.Shards)
+	}
+	if s.Check {
+		return fmt.Errorf("experiment: the invariant checker attaches to a single network; it cannot observe a sharded run (Shards=%d)", s.Shards)
+	}
+	if s.Impair != nil && !s.Impair.LinkStreams() {
+		return fmt.Errorf("experiment: sharded runs need per-link impairment streams (faults.Impairments.UseLinkStreams); the global stream's consumption order is engine-dependent")
+	}
+	if _, err := bgp.Lookahead(s.Config); err != nil {
+		return fmt.Errorf("experiment: %w", err)
+	}
+	return nil
 }
 
 // Result captures everything a single run measured.
@@ -209,14 +237,11 @@ func Run(sc Scenario) (*Result, error) {
 // the run stays byte-identical to Run(sc), because the cooperative stop check
 // only reads the context and never touches simulation state.
 func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
-	if sc.Shards > 1 {
-		return runSharded(ctx, sc)
-	}
-	n, origin, err := converge(ctx, sc)
+	sn, origin, err := converge(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	return measure(ctx, sc, n, origin)
+	return measure(ctx, sc, sn, origin)
 }
 
 // wrapInterrupt maps a kernel/watchdog stop caused by the context into the
@@ -230,13 +255,15 @@ func wrapInterrupt(ctx context.Context, stage string, err error) error {
 }
 
 // converge validates the scenario and executes its warm-up phase: build the
-// run topology (base graph + originAS attached to the ispAS), originate the
-// flap prefix and drain the kernel until every node has learned a stable
-// route, then wipe damping state and counters (Section 5.1: "Before the
-// simulation starts, every node learns a stable route to the originAS").
-// The returned network is quiescent and ready for measure — or for a
-// bgp.Snapshot, which is how sweeps amortize this phase across pulse counts.
-func converge(ctx context.Context, sc Scenario) (*bgp.Network, bgp.RouterID, error) {
+// run topology (base graph + originAS attached to the ispAS) on a
+// max(Shards, 1)-shard ensemble, originate the flap prefix and drain until
+// every node has learned a stable route, then align the shard clocks and
+// wipe damping state and counters (Section 5.1: "Before the simulation
+// starts, every node learns a stable route to the originAS"). The returned
+// ensemble is quiescent and ready for measure — or for a
+// ShardedNetwork.Snapshot, which is how sweeps amortize this phase across
+// pulse counts. The caller owns the ensemble (Close it).
+func converge(ctx context.Context, sc Scenario) (*bgp.ShardedNetwork, bgp.RouterID, error) {
 	if err := sc.validate(); err != nil {
 		return nil, 0, err
 	}
@@ -252,105 +279,73 @@ func converge(ctx context.Context, sc Scenario) (*bgp.Network, bgp.RouterID, err
 			return nil, 0, fmt.Errorf("experiment: annotate origin link: %w", err)
 		}
 	}
-
-	k := sim.NewKernel(sim.WithSeed(sc.Config.Seed))
-	n, err := bgp.NewNetwork(k, g, sc.Config)
+	var assign []int32 // nil: one shard owns every router
+	if sc.Shards > 1 {
+		var err error
+		if assign, err = topology.Partition(g, sc.Shards); err != nil {
+			return nil, 0, fmt.Errorf("experiment: partition: %w", err)
+		}
+	}
+	sn, err := bgp.NewShardedNetwork(g, sc.Config, assign)
 	if err != nil {
 		return nil, 0, err
 	}
 
-	n.Router(origin).Originate(FlapPrefix)
-	if err := k.RunContext(ctx); err != nil {
+	sn.Router(origin).Originate(FlapPrefix)
+	if err := sn.Group().RunContext(ctx); err != nil {
+		sn.Close()
 		return nil, 0, wrapInterrupt(ctx, "warm-up", err)
 	}
-	n.ResetDamping()
-	n.ResetCounters()
-	return n, origin, nil
+	sn.Align()
+	sn.ResetDamping()
+	sn.ResetCounters()
+	return sn, origin, nil
 }
 
 // measure executes the scenario's flap phase and drain on a converged
-// network (fresh from converge, or a fork of a converged checkpoint) and
+// ensemble (fresh from converge, or a fork of a converged checkpoint) and
 // computes the Result. It installs the measurement hooks, brings the fault
-// apparatus alive at the epoch, runs the pulse workload and drains.
-func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.RouterID) (*Result, error) {
-	k := n.Kernel()
+// apparatus alive at the epoch, runs the pulse workload and drains. It takes
+// ownership of sn and closes it.
+func measure(ctx context.Context, sc Scenario, sn *bgp.ShardedNetwork, origin bgp.RouterID) (*Result, error) {
+	defer sn.Close()
+	grp := sn.Group()
 	interval := sc.FlapInterval
 	if interval == 0 {
 		interval = DefaultFlapInterval
 	}
 
-	res := &Result{
-		Pulses:             sc.Pulses,
-		Origin:             origin,
-		ISP:                bgp.RouterID(sc.ISP),
-		Updates:            &metrics.EventSeries{},
-		Damped:             &metrics.StepSeries{},
-		NoisyReuseTimes:    &metrics.EventSeries{},
-		PenaltyTraces:      make(map[PenaltyWatch]*metrics.FloatSeries, len(sc.Watch)),
-		LastUpdateByRouter: make(map[bgp.RouterID]time.Duration),
-	}
-	for _, w := range sc.Watch {
-		res.PenaltyTraces[w] = &metrics.FloatSeries{}
-	}
-
 	// All result times are relative to the first flap, matching the paper's
-	// figure axes. The network is quiescent here, so nothing fires between
+	// figure axes. The ensemble is quiescent here, so nothing fires between
 	// installing the hooks and the first withdrawal.
-	epoch := k.Now()
-	hooks := bgp.Hooks{
-		OnDeliver: func(at time.Duration, msg bgp.Message) {
-			res.Updates.Record(at - epoch)
-			res.LastUpdateByRouter[msg.To] = at - epoch
-		},
-		OnSuppress: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
-			res.Damped.Record(at-epoch, n.DampedLinkCount())
-			if on && router == bgp.RouterID(sc.ISP) && peer == origin {
-				res.OriginSuppressed = true
-			}
-		},
-		OnReuse: func(at time.Duration, _, _ bgp.RouterID, _ bgp.Prefix, noisy bool) {
-			if noisy {
-				res.NoisyReuses++
-				res.NoisyReuseTimes.Record(at - epoch)
-			} else {
-				res.SilentReuses++
-			}
-		},
-		OnPenalty: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, penalty float64) {
-			if len(sc.Watch) == 0 {
-				return
-			}
-			if tr, ok := res.PenaltyTraces[PenaltyWatch{Router: router, Peer: peer}]; ok {
-				tr.Record(at-epoch, penalty)
-			}
-		},
-	}
-	if sc.Trace != nil {
-		shifted := bgp.TraceHooks(sc.Trace)
-		hooks = bgp.MergeHooks(hooks, bgp.Hooks{
-			OnDeliver: func(at time.Duration, msg bgp.Message) {
-				shifted.OnDeliver(at-epoch, msg)
-			},
-			OnSuppress: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, on bool) {
-				shifted.OnSuppress(at-epoch, r, p, pf, on)
-			},
-			OnReuse: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, noisy bool) {
-				shifted.OnReuse(at-epoch, r, p, pf, noisy)
-			},
-			OnPenalty: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, pen float64) {
-				shifted.OnPenalty(at-epoch, r, p, pf, pen)
-			},
-		})
-	}
-	n.SetHooks(hooks)
+	epoch := grp.Now()
 
-	// Fault injection: impairments and the fault plan come alive at the
-	// epoch, after the clean warm-up, sharing the Result clock zero.
-	if sc.Impair != nil {
-		n.SetImpairment(sc.Impair)
+	// Every shard records into its own partial Result (and trace log) through
+	// live hooks, which fire on that shard's goroutine only; the partials are
+	// merged after the drain. Each shard also gets its own fork of the
+	// impairment model, so the caller's model is never consumed and Run stays
+	// a pure function of the scenario.
+	parts := make([]*Result, sn.NumShards())
+	var logs []*trace.Log
+	var imps []*faults.Impairments
+	for s := range parts {
+		n := sn.Shard(s)
+		parts[s] = newPartial(sc, origin, n.NumRouters()/len(parts))
+		hooks := parts[s].recordHooks(sc, epoch)
+		if sc.Trace != nil {
+			logs = append(logs, trace.NewLog(0))
+			hooks = bgp.MergeHooks(hooks, bgp.TraceHooks(logs[s]))
+		}
+		n.SetHooks(hooks)
+		if sc.Impair != nil {
+			imps = append(imps, sc.Impair.Fork())
+			n.SetImpairment(imps[s])
+		}
 	}
+	// The fault plan comes alive at the epoch, after the clean warm-up,
+	// replicated to every shard at the same virtual times.
 	if sc.Faults != nil {
-		if err := sc.Faults.Apply(n, epoch, sc.Impair); err != nil {
+		if err := sc.Faults.ApplySharded(sn, epoch, imps); err != nil {
 			return nil, fmt.Errorf("experiment: fault plan: %w", err)
 		}
 	}
@@ -358,11 +353,12 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 	// The invariant checker attaches after the hooks and fault apparatus so
 	// it observes (and chains to) the final observer configuration. Attaching
 	// here — on a converged network with damping state just reset — is the
-	// supported mode: every shadow damping stream starts in sync.
+	// supported mode: every shadow damping stream starts in sync. Validation
+	// admits it on one shard only.
 	var chk *check.Checker
 	if sc.Check {
 		var err error
-		chk, err = check.Attach(n, check.Options{
+		chk, err = check.Attach(sn.Shard(0), check.Options{
 			ISP:    bgp.RouterID(sc.ISP),
 			Origin: origin,
 			Prefix: FlapPrefix,
@@ -374,35 +370,33 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 	}
 
 	// Flap phase.
-	flapDown := func() error {
+	flap := func(up bool) error {
 		if sc.FlapViaLink {
-			return n.SetLinkState(origin, bgp.RouterID(sc.ISP), false)
+			return sn.SetLinkState(origin, bgp.RouterID(sc.ISP), up)
 		}
-		n.Router(origin).StopOriginating(FlapPrefix)
+		if up {
+			sn.Router(origin).Originate(FlapPrefix)
+		} else {
+			sn.Router(origin).StopOriginating(FlapPrefix)
+		}
 		return nil
 	}
-	flapUp := func() error {
-		if sc.FlapViaLink {
-			return n.SetLinkState(origin, bgp.RouterID(sc.ISP), true)
-		}
-		n.Router(origin).Originate(FlapPrefix)
-		return nil
-	}
+	var flapStart, flapEnd time.Duration
 	if sc.Pulses > 0 {
-		res.FlapStart = k.Now() - epoch
+		flapStart = grp.Now() - epoch
 		for i := 0; i < sc.Pulses; i++ {
-			if err := flapDown(); err != nil {
+			if err := flap(false); err != nil {
 				return nil, fmt.Errorf("experiment: pulse %d down: %w", i+1, err)
 			}
-			if err := k.RunUntilContext(ctx, k.Now()+interval); err != nil {
+			if err := grp.RunUntilContext(ctx, grp.Now()+interval); err != nil {
 				return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i+1), err)
 			}
-			if err := flapUp(); err != nil {
+			if err := flap(true); err != nil {
 				return nil, fmt.Errorf("experiment: pulse %d up: %w", i+1, err)
 			}
-			res.FlapEnd = k.Now() - epoch
+			flapEnd = grp.Now() - epoch
 			if i < sc.Pulses-1 {
-				if err := k.RunUntilContext(ctx, k.Now()+interval); err != nil {
+				if err := grp.RunUntilContext(ctx, grp.Now()+interval); err != nil {
 					return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i+1), err)
 				}
 			}
@@ -410,80 +404,86 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 	}
 
 	// Drain: every in-flight update and every reuse timer fires within the
-	// max hold-down horizon. With a watchdog the drain is supervised —
-	// quiescent-instant consistency checks and a livelock abort instead of
-	// burning the kernel's whole event budget.
+	// max hold-down horizon. With a watchdog (one shard only) the drain is
+	// supervised — quiescent-instant consistency checks and a livelock abort
+	// instead of burning the kernel's whole event budget.
+	var report *faults.Report
 	if sc.Watchdog != nil {
-		rep := faults.WatchContext(ctx, n, *sc.Watchdog)
-		res.FaultReport = rep
-		if rep.Outcome == faults.Aborted {
+		report = faults.WatchContext(ctx, sn.Shard(0), *sc.Watchdog)
+		if report.Outcome == faults.Aborted {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("experiment: drain: %w", ctxErr(ctx))
 			}
-			return nil, fmt.Errorf("experiment: drain: %w: %w", ErrBudgetExceeded, rep.Err)
+			return nil, fmt.Errorf("experiment: drain: %w: %w", ErrBudgetExceeded, report.Err)
 		}
-		if rep.Outcome == faults.Livelock {
-			return nil, fmt.Errorf("experiment: drain: %s", rep)
+		if report.Outcome == faults.Livelock {
+			return nil, fmt.Errorf("experiment: drain: %s", report)
 		}
-	} else if err := k.RunContext(ctx); err != nil {
+	} else if err := grp.RunContext(ctx); err != nil {
 		return nil, wrapInterrupt(ctx, "drain", err)
 	}
+
+	res := mergePartials(parts)
+	res.FlapStart, res.FlapEnd = flapStart, flapEnd
+	res.FaultReport = report
 	if chk != nil {
 		res.Check = chk.Finish()
 		if err := res.Check.Err(); err != nil {
 			return nil, fmt.Errorf("experiment: invariant check: %w", err)
 		}
 	}
-	res.EndTime = k.Now() - epoch
-	res.Dropped = n.Dropped()
+	res.EndTime = grp.Now() - epoch
+	res.Dropped = sn.Dropped()
 	res.MessageCount = res.Updates.Count()
 	if last, ok := res.Updates.Last(); ok && last > res.FlapEnd {
 		res.ConvergenceTime = last - res.FlapEnd
 	}
 	res.MaxDamped = res.Damped.Max()
 	res.Phases = metrics.ComputePhases(res.Updates, res.NoisyReuseTimes, res.FlapStart, res.FlapEnd)
+	if sc.Trace != nil {
+		for _, ev := range trace.Merge(logs...).Events() {
+			ev.At -= epoch
+			sc.Trace.Append(ev)
+		}
+	}
 
 	// The watchdog already ran the final consistency check (its verdict is
 	// on the Result). Without one, run it here — but a lossy run may
 	// legitimately diverge, so the failure is fatal only when no impairment
 	// was configured.
-	if sc.Watchdog != nil {
-		if res.FaultReport.Outcome == faults.Diverged && sc.Impair == nil {
-			return nil, fmt.Errorf("experiment: post-run consistency: %w", res.FaultReport.Err)
+	if report != nil {
+		if report.Outcome == faults.Diverged && sc.Impair == nil {
+			return nil, fmt.Errorf("experiment: post-run consistency: %w", report.Err)
 		}
-	} else if err := n.CheckConsistency(); err != nil && sc.Impair == nil {
+	} else if err := sn.CheckConsistency(); err != nil && sc.Impair == nil {
 		return nil, fmt.Errorf("experiment: post-run consistency: %w", err)
 	}
 	return res, nil
 }
 
-// Checkpoint is a scenario's converged warm-up state, parked as a network
+// Checkpoint is a scenario's converged warm-up state, parked as an ensemble
 // snapshot. Building one costs a single warm-up; Run then forks the
 // checkpoint per measurement instead of re-converging from scratch, which is
 // how sweeps amortize warm-up across pulse counts. A Checkpoint is safe for
 // concurrent Run calls — each call forks its own independent copy.
 //
-// The parked state is engine-specific: a Shards<=1 scenario parks a
-// sequential bgp.Snapshot, a Shards>1 scenario parks a bgp.ShardedSnapshot
-// with the partition baked in. A checkpoint only serves scenarios on the
-// engine (and shard count) it was built with — the run's Result is identical
-// either way (the cache fingerprint deliberately ignores Shards), but the
-// parked kernel state is not interchangeable.
+// The parked state has the partition baked in, so a checkpoint only serves
+// scenarios with the shard count it was built with (Shards 0 and 1 are the
+// same one-shard ensemble). The run's Result is identical for every shard
+// count (the cache fingerprint deliberately ignores Shards), but the parked
+// kernel state is not interchangeable.
 type Checkpoint struct {
-	snap   *bgp.Snapshot        // sequential engine (Shards <= 1)
-	shsnap *bgp.ShardedSnapshot // sharded engine (Shards > 1)
-	shards int                  // shard count shsnap was built with
+	snap   *bgp.ShardedSnapshot
 	origin bgp.RouterID
 }
 
-// Shards returns the shard count the checkpoint was built with (0 or 1 for a
-// sequential checkpoint).
-func (c *Checkpoint) Shards() int { return c.shards }
+// Shards returns the shard count the checkpoint was built with (1 for a
+// Shards 0 or 1 scenario).
+func (c *Checkpoint) Shards() int { return c.snap.NumShards() }
 
 // NewCheckpoint executes the scenario's warm-up once (exactly as Run would)
 // and parks the converged state. Only the warm-up inputs matter here — the
-// graph, ISP, Config and Shards (a Shards>1 scenario converges on the sharded
-// engine and parks a sharded snapshot); measurement-phase fields (Pulses,
+// graph, ISP, Config and Shards; measurement-phase fields (Pulses,
 // FlapInterval, Watch, Trace, Impair, Faults, Watchdog) take effect in
 // Checkpoint.Run.
 func NewCheckpoint(sc Scenario) (*Checkpoint, error) {
@@ -509,23 +509,12 @@ func NewCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error)
 
 // newCheckpointContext is the hook-free warm-up body.
 func newCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error) {
-	if sc.Shards > 1 {
-		sn, origin, err := convergeSharded(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		defer sn.Close()
-		snap, err := sn.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("experiment: checkpoint: %w", err)
-		}
-		return &Checkpoint{shsnap: snap, shards: sc.Shards, origin: origin}, nil
-	}
-	n, origin, err := converge(ctx, sc)
+	sn, origin, err := converge(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := n.Snapshot()
+	defer sn.Close()
+	snap, err := sn.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
@@ -549,26 +538,18 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	switch {
-	case sc.Shards > 1 && c.shsnap == nil:
-		return nil, fmt.Errorf("experiment: sharded scenario (Shards=%d) on a sequential checkpoint; build the checkpoint with the same Shards", sc.Shards)
-	case sc.Shards <= 1 && c.shsnap != nil:
-		return nil, fmt.Errorf("experiment: sequential scenario on a sharded checkpoint (built with Shards=%d)", c.shards)
-	case c.shsnap != nil:
-		if sc.Shards != c.shards {
-			return nil, fmt.Errorf("experiment: checkpoint built with Shards=%d cannot run Shards=%d (the partition is part of the parked state)", c.shards, sc.Shards)
+	if max(sc.Shards, 1) != c.Shards() {
+		kind := "sequential"
+		if c.Shards() > 1 {
+			kind = "sharded"
 		}
-		sn, err := c.shsnap.Fork()
-		if err != nil {
-			return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
-		}
-		return measureSharded(ctx, sc, sn, c.origin)
+		return nil, fmt.Errorf("experiment: %s checkpoint built with Shards=%d cannot run Shards=%d (the partition is part of the parked state)", kind, c.Shards(), sc.Shards)
 	}
-	_, n, err := c.snap.Fork()
+	sn, err := c.snap.Fork()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
 	}
-	return measure(ctx, sc, n, c.origin)
+	return measure(ctx, sc, sn, c.origin)
 }
 
 // ConvergenceSpread summarizes how long after the final announcement each

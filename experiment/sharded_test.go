@@ -2,10 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"rfd/damping"
 	"rfd/faults"
+	"rfd/topology"
 	"rfd/trace"
 )
 
@@ -341,5 +345,119 @@ func TestRunShardedTrace(t *testing.T) {
 	}
 	if len(a) > 0 && a[0].At < 0 {
 		t.Fatalf("trace times not flap-relative: first at %v", a[0].At)
+	}
+}
+
+// TestCrashDampedCountAcrossShards is the regression test for the damped-link
+// count after a router crash. The crash discards the router's suppressed
+// damping states; the count must drop with them, so every shard count
+// reports the same series and it returns to zero once the run has drained.
+func TestCrashDampedCountAcrossShards(t *testing.T) {
+	g, err := topology.Torus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []damping.EngineKind{damping.EngineExact, damping.EngineWheel} {
+		t.Run(engine.String(), func(t *testing.T) {
+			mk := func(shards int) Scenario {
+				sc := Scenario{
+					Graph:  g,
+					ISP:    18,
+					Config: dampingCfg(),
+					Pulses: 4,
+					Shards: shards,
+					Faults: faults.NewPlan(faults.CrashRouter(90*time.Second, 1, 0)),
+				}
+				sc.Config.Seed = 13
+				sc.Config.DampingEngine = engine
+				return sc
+			}
+			want, err := Run(mk(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.MaxDamped == 0 {
+				t.Fatal("nothing was damped; the crash discards no suppressed state")
+			}
+			for _, shards := range []int{0, 2, 4} {
+				res := want
+				if shards > 0 {
+					if res, err = Run(mk(shards)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if v := res.Damped.ValueAt(res.EndTime); v != 0 {
+					t.Errorf("Shards=%d: %d links still counted damped after the drain", shards, v)
+				}
+				if res.MaxDamped != want.MaxDamped {
+					t.Errorf("Shards=%d: MaxDamped %d, want %d", shards, res.MaxDamped, want.MaxDamped)
+				}
+				if !reflect.DeepEqual(res, want) {
+					t.Errorf("Shards=%d: Result differs from Shards=0", shards)
+				}
+			}
+		})
+	}
+}
+
+// TestRunPureWithImpair pins that Run is a pure function of its Scenario
+// when Impair is set: the run consumes forks of the impairment model, never
+// the caller's instance, so repeated runs of one Scenario are identical.
+func TestRunPureWithImpair(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sc, err := DaemonScenario(DefaultOptions(), "mesh", "cisco", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Pulses = 2
+			sc.Shards = shards
+			sc.Impair = faults.NewImpairments(5)
+			sc.Impair.UseLinkStreams()
+			if err := sc.Impair.SetDefault(faults.Profile{Loss: 0.02}); err != nil {
+				t.Fatal(err)
+			}
+			first, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Dropped == 0 {
+				t.Fatal("impaired run dropped nothing; the check proves nothing")
+			}
+			second, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("repeated Run differs: %d msgs / %d dropped, then %d / %d",
+					first.MessageCount, first.Dropped, second.MessageCount, second.Dropped)
+			}
+		})
+	}
+}
+
+// TestZeroLookaheadOneShard pins that the lookahead requirement is a
+// multi-shard one: a config with no delay floor still runs on one shard,
+// from scratch and from a checkpoint.
+func TestZeroLookaheadOneShard(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		sc := Scenario{Graph: smallMesh(t), ISP: 4, Config: dampingCfg(), Pulses: 2, Shards: shards}
+		sc.Config.MinLinkDelay = 0
+		sc.Config.MinProcDelay = 0
+		want, err := Run(sc)
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", shards, err)
+		}
+		cp, err := NewCheckpoint(sc)
+		if err != nil {
+			t.Fatalf("Shards=%d: checkpoint: %v", shards, err)
+		}
+		got, err := cp.Run(sc)
+		if err != nil {
+			t.Fatalf("Shards=%d: checkpoint run: %v", shards, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("Shards=%d: checkpoint Result differs from Run", shards)
+		}
 	}
 }

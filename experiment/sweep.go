@@ -46,9 +46,10 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // only check the error keep the old semantics; callers that want the partial
 // results read the slice despite the error.
 //
-// A scenario-level Impair model is forked per point — every point sees the
-// impairment stream from its warm-up-end position, exactly as a standalone
-// Run would, and no mutable RNG state is shared between workers.
+// A scenario-level Impair model is shared by every point: each run forks it,
+// so every point sees the impairment stream from its warm-up-end position,
+// exactly as a standalone Run would, and no mutable RNG state is shared
+// between workers.
 func SweepParallel(base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
 	return SweepParallelContext(context.Background(), base, pulses, workers)
 }
@@ -71,9 +72,8 @@ func SweepParallelContext(ctx context.Context, base Scenario, pulses []int, work
 	if len(pulses) == 0 {
 		return nil, nil
 	}
-	// One warm-up for the whole sweep, on whichever engine the scenario asks
-	// for: a Shards>1 base converges on the sharded engine and parks a sharded
-	// snapshot, so sharded sweeps fork per point exactly like sequential ones.
+	// One warm-up for the whole sweep, parked with the scenario's shard count;
+	// every point forks it.
 	cp, err := NewCheckpointContext(ctx, base)
 	if err != nil {
 		return nil, err
@@ -143,14 +143,15 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 // quarantined stack attached) so the process — and the other points — survive
 // it.
 func runSweepPoint(ctx context.Context, cp *Checkpoint, base Scenario, pulses int, pt *SweepPoint) {
+	sc := base
+	sc.Pulses = pulses
 	defer func() {
 		if r := recover(); r != nil {
-			fp, _ := scWithPulses(base, pulses).Fingerprint()
+			fp, _ := sc.Fingerprint()
 			pt.Err = fmt.Errorf("experiment: sweep n=%d: %w", pulses,
 				&PanicError{Value: r, Fingerprint: fp, Stack: stackTrace()})
 		}
 	}()
-	sc := scWithPulses(base, pulses)
 	var res *Result
 	var err error
 	if cp == nil {
@@ -163,17 +164,6 @@ func runSweepPoint(ctx context.Context, cp *Checkpoint, base Scenario, pulses in
 		return
 	}
 	pt.Result = res
-}
-
-// scWithPulses specializes the base scenario to one pulse count, forking the
-// impairment model so no mutable RNG state is shared between workers.
-func scWithPulses(base Scenario, pulses int) Scenario {
-	sc := base
-	sc.Pulses = pulses
-	if sc.Impair != nil {
-		sc.Impair = sc.Impair.Fork()
-	}
-	return sc
 }
 
 // stackTrace captures the current goroutine's stack for a PanicError.

@@ -12,6 +12,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -261,4 +262,37 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// MergeEvents returns one series holding every event of the inputs, in time
+// order (e.g. per-shard update series joined into the run's series).
+func MergeEvents(series ...*EventSeries) *EventSeries {
+	out := &EventSeries{}
+	for _, s := range series {
+		out.times = append(out.times, s.times...)
+	}
+	slices.Sort(out.times)
+	return out
+}
+
+// SumSteps returns the pointwise sum of step series, with a change point at
+// every instant any input changes (e.g. per-shard damped-link counts joined
+// into the network-wide count).
+func SumSteps(series ...*StepSeries) *StepSeries {
+	var at []time.Duration
+	for _, s := range series {
+		for _, p := range s.points {
+			at = append(at, p.At)
+		}
+	}
+	slices.Sort(at)
+	out := &StepSeries{}
+	for _, t := range slices.Compact(at) {
+		v := 0
+		for _, s := range series {
+			v += s.ValueAt(t)
+		}
+		out.points = append(out.points, StepPoint{At: t, Value: v})
+	}
+	return out
 }

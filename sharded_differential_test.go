@@ -400,6 +400,7 @@ func TestShardedForkDifferential(t *testing.T) {
 							sc.Faults = faults.NewPlan(
 								faults.FlapLink(30*time.Second, 0, 1, 30*time.Second),
 								faults.ResetSession(45*time.Second, 2, 3),
+								faults.CrashRouter(90*time.Second, 1, 0),
 							)
 						}
 						return sc
@@ -429,19 +430,7 @@ func TestShardedForkDifferential(t *testing.T) {
 					}
 					seqRes, seqTrace := runLeg(t, mk(0), cp1.Run)
 					diverge(t, "sequential-fork", scratchTrace, seqTrace)
-					// Cross-engine Results are built by different observers
-					// (live hooks vs trace reconstruction); compare the
-					// measured quantities rather than the struct graphs.
-					if seqRes.MessageCount != scratchRes.MessageCount ||
-						seqRes.ConvergenceTime != scratchRes.ConvergenceTime ||
-						seqRes.FlapStart != scratchRes.FlapStart ||
-						seqRes.FlapEnd != scratchRes.FlapEnd ||
-						seqRes.EndTime != scratchRes.EndTime ||
-						seqRes.MaxDamped != scratchRes.MaxDamped ||
-						seqRes.NoisyReuses != scratchRes.NoisyReuses ||
-						seqRes.SilentReuses != scratchRes.SilentReuses ||
-						seqRes.OriginSuppressed != scratchRes.OriginSuppressed ||
-						seqRes.Dropped != scratchRes.Dropped {
+					if !reflect.DeepEqual(scratchRes, seqRes) {
 						t.Fatalf("sequential-fork Result diverges:\nseq:     %+v\nsharded: %+v", seqRes, scratchRes)
 					}
 				})

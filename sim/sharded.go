@@ -87,6 +87,10 @@ func (s ShardStats) Parallelism() float64 {
 // ShardGroup coordinates K kernels under conservative lookahead. Construct
 // with NewShardGroup; a group must not be shared between goroutines, and the
 // kernels must not be driven directly (Run/Step) while the group owns them.
+//
+// A one-kernel group pays no coordinator: Run and RunUntil drive the kernel
+// directly, with no worker goroutine, no epochs and no exchange, so it never
+// reads the lookahead and records no epoch statistics.
 type ShardGroup struct {
 	kernels   []*Kernel
 	lookahead time.Duration
@@ -158,9 +162,6 @@ func NewShardGroup(lookahead time.Duration, kernels []*Kernel, ex Exchanger, opt
 // Kernels returns the group's kernels (shard order). Do not drive them while
 // the group is running.
 func (g *ShardGroup) Kernels() []*Kernel { return g.kernels }
-
-// Lookahead returns the epoch length bound.
-func (g *ShardGroup) Lookahead() time.Duration { return g.lookahead }
 
 // Stats returns the execution profile accumulated so far.
 func (g *ShardGroup) Stats() ShardStats {
@@ -298,6 +299,9 @@ func (g *ShardGroup) Run() error {
 
 // RunContext is Run with a cooperative stop check at every epoch barrier.
 func (g *ShardGroup) RunContext(ctx context.Context) error {
+	if len(g.kernels) == 1 {
+		return g.kernels[0].RunContext(ctx)
+	}
 	for {
 		g.stats.Injected += uint64(g.exchange.Flush())
 		start, ok := g.nextEpochStart()
@@ -324,6 +328,9 @@ func (g *ShardGroup) RunUntil(horizon time.Duration) error {
 
 // RunUntilContext is RunUntil with a cooperative stop check at every barrier.
 func (g *ShardGroup) RunUntilContext(ctx context.Context, horizon time.Duration) error {
+	if len(g.kernels) == 1 {
+		return g.kernels[0].RunUntilContext(ctx, horizon)
+	}
 	for {
 		g.stats.Injected += uint64(g.exchange.Flush())
 		start, ok := g.nextEpochStart()
