@@ -175,3 +175,61 @@ func TestFlapSteadyStateDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestShardedFlushDoesNotAllocate extends the steady-state pin to the
+// two-shard ensemble: once identical flap pulses have warmed every slab and
+// outbox, a pulse allocates nothing, although each of its epoch barriers
+// drains the outboxes, sorts the cut-edge messages into their canonical
+// order and injects them. Workers hand epochs off through counters, so the
+// coordinator adds no garbage either.
+func TestShardedFlushDoesNotAllocate(t *testing.T) {
+	g, err := topology.Torus(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := damping.Cisco()
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	cfg.Damping = &params
+	cfg.MRAIJitter = false
+	cfg.MinProcDelay = 5 * time.Millisecond
+	cfg.MaxProcDelay = 5 * time.Millisecond
+	assign, err := topology.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := NewShardedNetwork(g, cfg, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	grp := sn.Group()
+	origin := sn.Router(4)
+	// Drain, then align every shard clock so the next stimulus is sent at
+	// one instant on all shards.
+	drain := func() {
+		if err := grp.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sn.Align()
+	}
+	origin.Originate(allocPrefix)
+	drain()
+	pulse := func() {
+		origin.StopOriginating(allocPrefix)
+		drain()
+		origin.Originate(allocPrefix)
+		drain()
+	}
+	for i := 0; i < 4; i++ {
+		pulse()
+	}
+	before := grp.Stats().Injected
+	allocs := testing.AllocsPerRun(20, pulse)
+	if grp.Stats().Injected == before {
+		t.Fatal("no cross-shard traffic: the pulse never exercised Flush")
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state sharded flap pulse allocates %.1f per run, want 0", allocs)
+	}
+}

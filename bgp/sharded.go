@@ -1,8 +1,9 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rfd/sim"
@@ -147,35 +148,20 @@ func (sn *ShardedNetwork) Flush() int {
 		buf = append(buf, box...)
 		sn.outbox[s] = box[:0]
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].at != buf[j].at {
-			return buf[i].at < buf[j].at
+	slices.SortFunc(buf, func(a, b remoteMsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if buf[i].src != buf[j].src {
-			return buf[i].src < buf[j].src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return buf[i].seq < buf[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, m := range buf {
 		sn.shards[sn.owner[m.msg.To]].injectDelivery(m.at, m.msg, m.gen)
 	}
 	sn.flushBuf = buf[:0]
 	return total
-}
-
-// Pending implements sim.Exchanger: the earliest arrival waiting in any
-// outbox.
-func (sn *ShardedNetwork) Pending() (time.Duration, bool) {
-	var min time.Duration
-	ok := false
-	for _, box := range sn.outbox {
-		for _, m := range box {
-			if !ok || m.at < min {
-				min, ok = m.at, true
-			}
-		}
-	}
-	return min, ok
 }
 
 // Group returns the coordinator driving the shards. Use it to run the

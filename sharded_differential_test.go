@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -479,5 +480,27 @@ func TestShardedGoldenInternet208(t *testing.T) {
 	}
 	if sharded := render(canonicalSharded(t, g, cfg, origin, 1, 4, true)); sharded != got {
 		t.Fatalf("sharded digest diverged from sequential:\nseq   %sshard %s", got, sharded)
+	}
+}
+
+// TestShardedGOMAXPROCS1 runs the golden 208-node scenario on four shards
+// with a single processor. The coordinator's workers busy-wait on their
+// handoff counters before parking, so this pins that a spinning goroutine
+// always yields to the one it waits for: the run completes, and its merged
+// trace equals the one-shard trace.
+func TestShardedGOMAXPROCS1(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, err := topology.InternetDerived(topology.DefaultInternetConfig(208, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bgp.DefaultConfig()
+	params := damping.Cisco()
+	cfg.Damping = &params
+	cfg.Seed = 13
+	origin := bgp.RouterID(g.NumNodes() / 2)
+	want := canonicalSharded(t, g, cfg, origin, 1, 1, true)
+	if got := canonicalSharded(t, g, cfg, origin, 1, 4, true); !bytes.Equal(got, want) {
+		t.Fatalf("4-shard trace under GOMAXPROCS=1 diverged from the one-shard trace (%d vs %d bytes)", len(got), len(want))
 	}
 }

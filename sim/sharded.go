@@ -26,7 +26,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,15 +37,11 @@ import (
 // (bgp.ShardedNetwork) collect outbound events into per-shard outboxes while
 // shards run, and inject them into the destination kernels when the
 // coordinator calls Flush — which happens with every shard parked, so Flush
-// may touch any kernel. Flush must inject in a deterministic order and
-// returns the number of events moved.
-//
-// Pending reports the earliest event time waiting in an outbox, so the
-// coordinator can pick the next epoch start even when every kernel queue is
-// momentarily empty.
+// may touch any kernel. Flush must inject in a deterministic order, must
+// leave every outbox empty (the coordinator picks the next epoch start from
+// the kernel queues alone), and returns the number of events moved.
 type Exchanger interface {
 	Flush() int
-	Pending() (time.Duration, bool)
 }
 
 // NopExchanger is the Exchanger for shard sets with no cross-shard edges
@@ -52,9 +51,6 @@ type NopExchanger struct{}
 // Flush implements Exchanger.
 func (NopExchanger) Flush() int { return 0 }
 
-// Pending implements Exchanger.
-func (NopExchanger) Pending() (time.Duration, bool) { return 0, false }
-
 // ShardStats accumulates the group's execution profile. CriticalPathEvents
 // sums, over epochs, the largest per-shard event count of that epoch — the
 // number of sequential event slots an ideally parallel execution of this
@@ -62,6 +58,9 @@ func (NopExchanger) Pending() (time.Duration, bool) { return 0, false }
 // the partition's achievable parallelism on this workload, independent of the
 // host's core count (the recorded benchmarks report it next to wall clock,
 // which on a small host is bounded by GOMAXPROCS instead).
+//
+// Every field is a pure function of the workload and the partition: none
+// depends on goroutine scheduling or on WithSequentialGroup.
 type ShardStats struct {
 	// Epochs is the number of barrier-to-barrier rounds executed.
 	Epochs uint64
@@ -72,6 +71,15 @@ type ShardStats struct {
 	CriticalPathEvents uint64
 	// Injected is the number of cross-shard events moved at barriers.
 	Injected uint64
+	// InlineEpochs counts the epochs in which at most one shard had an
+	// event before the horizon; the coordinator runs those on the calling
+	// goroutine with no handoff.
+	InlineEpochs uint64
+	// Dispatched counts worker handoffs: in an epoch where several shards
+	// have work, the caller runs the first and hands each other one to its
+	// worker. (Under WithSequentialGroup the caller runs those too, and they
+	// are still counted here.)
+	Dispatched uint64
 	// EventsPerShard is the per-shard executed-event breakdown.
 	EventsPerShard []uint64
 }
@@ -103,20 +111,25 @@ type ShardGroup struct {
 
 	stats ShardStats
 
-	// Worker pool state: workers persist across epochs so an epoch barrier
-	// costs two channel hops per shard, not a goroutine spawn.
-	workers   sync.WaitGroup
-	work      []chan time.Duration // per-shard epoch horizon
-	done      chan workerDone
-	started   bool
-	closed    bool
-	prevEpoch []uint64 // per-shard executed count at last barrier
+	// Barrier scratch: each shard's next event time (idle when its queue is
+	// empty), the shards with work in the current epoch, and each shard's
+	// executed count at the last barrier.
+	next      []time.Duration
+	active    []int
+	prevEpoch []uint64
+
+	// Worker pool: workers[s] runs shard s whenever it has work but is not
+	// the epoch's first active shard, so shard 0 never needs one. Workers
+	// persist across epochs and hand off through counters (see handoff).
+	workers []*shardWorker
+	joined  sync.WaitGroup
+	started bool
+	closed  bool
 }
 
-type workerDone struct {
-	shard int
-	err   error
-}
+// idle is the next-event time of a shard with an empty queue: later than any
+// horizon, so the shard never counts as active.
+const idle = time.Duration(math.MaxInt64)
 
 // GroupOption configures a ShardGroup.
 type GroupOption func(*ShardGroup)
@@ -147,6 +160,8 @@ func NewShardGroup(lookahead time.Duration, kernels []*Kernel, ex Exchanger, opt
 		kernels:   kernels,
 		lookahead: lookahead,
 		exchange:  ex,
+		next:      make([]time.Duration, len(kernels)),
+		active:    make([]int, 0, len(kernels)),
 		prevEpoch: make([]uint64, len(kernels)),
 	}
 	g.stats.EventsPerShard = make([]uint64, len(kernels))
@@ -204,91 +219,194 @@ func (g *ShardGroup) Pending() int {
 	return total
 }
 
-// start spins up the worker pool.
-func (g *ShardGroup) start() {
-	if g.started || g.sequential {
-		return
-	}
-	g.started = true
-	g.work = make([]chan time.Duration, len(g.kernels))
-	g.done = make(chan workerDone, len(g.kernels))
-	for i := range g.kernels {
-		g.work[i] = make(chan time.Duration)
-		g.workers.Add(1)
-		go func(shard int) {
-			defer g.workers.Done()
-			k := g.kernels[shard]
-			for horizon := range g.work[shard] {
-				g.done <- workerDone{shard: shard, err: k.RunBefore(horizon)}
-			}
-		}(i)
+// A handoff spins this many times on its counter before parking, yielding the
+// processor every handoffYield spins so that with GOMAXPROCS=1 the goroutine
+// being waited for still gets to run. An epoch of the 2000-node benchmark
+// scenario takes a few microseconds; the budget, most of it spent in the
+// yields, lets an idle worker ride out the runs of inline epochs between two
+// dispatches without parking, and parks it soon after a Run returns.
+const (
+	handoffSpins = 1 << 15
+	handoffYield = 32
+)
+
+// handoff is a one-way, park-free signal between one signaller and one
+// waiter: a counter the waiter spins on, with a 1-buffered wake channel to
+// park on once the spin budget runs out. The waiter sets sleeping before its
+// last look at the counter and the signaller bumps the counter before looking
+// at sleeping (Dekker order over sequentially consistent atomics), so a
+// parked waiter is always woken. A wake token left over from a race is
+// harmless: the waiter re-checks the counter after every wake-up.
+type handoff struct {
+	n        atomic.Uint64
+	sleeping atomic.Bool
+	wake     chan struct{}
+}
+
+// signal bumps the counter and wakes the waiter if it parked.
+func (h *handoff) signal() {
+	h.n.Add(1)
+	if h.sleeping.Load() {
+		select {
+		case h.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
-// Close stops the worker goroutines. The group is unusable afterwards; the
-// kernels remain valid and may be driven directly again. Safe to call twice.
+// await returns once the counter has reached want.
+func (h *handoff) await(want uint64) {
+	for i := 1; i <= handoffSpins; i++ {
+		if h.n.Load() >= want {
+			return
+		}
+		if i%handoffYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	for {
+		h.sleeping.Store(true)
+		if h.n.Load() >= want {
+			h.sleeping.Store(false)
+			return
+		}
+		<-h.wake
+	}
+}
+
+// shardWorker runs one shard's epochs on its own goroutine. The coordinator
+// writes horizon (or quit) before signalling start; the worker writes err
+// before signalling done, so each side reads the other's fields only after
+// the counter that publishes them.
+type shardWorker struct {
+	start   handoff
+	done    handoff
+	horizon time.Duration
+	quit    bool
+	err     error
+}
+
+// loop serves epochs for kernel k until Close.
+func (w *shardWorker) loop(k *Kernel) {
+	for epoch := uint64(1); ; epoch++ {
+		w.start.await(epoch)
+		if w.quit {
+			return
+		}
+		w.err = k.RunBefore(w.horizon)
+		w.done.signal()
+	}
+}
+
+// startWorkers spins up the pool: one worker per shard after the first.
+func (g *ShardGroup) startWorkers() {
+	g.started = true
+	g.workers = make([]*shardWorker, len(g.kernels))
+	for s := 1; s < len(g.kernels); s++ {
+		w := &shardWorker{}
+		w.start.wake = make(chan struct{}, 1)
+		w.done.wake = make(chan struct{}, 1)
+		g.workers[s] = w
+		g.joined.Add(1)
+		go func(k *Kernel) {
+			defer g.joined.Done()
+			w.loop(k)
+		}(g.kernels[s])
+	}
+}
+
+// Close stops the worker goroutines, waking any that parked. The group is
+// unusable afterwards; the kernels remain valid and may be driven directly
+// again. Safe to call twice.
 func (g *ShardGroup) Close() {
 	if !g.started || g.closed {
 		g.closed = true
 		return
 	}
 	g.closed = true
-	for _, ch := range g.work {
-		close(ch)
+	for _, w := range g.workers[1:] {
+		w.quit = true
+		w.start.signal()
 	}
-	g.workers.Wait()
+	g.joined.Wait()
 }
 
-// nextEpochStart returns the earliest pending instant across kernel queues
-// and outboxes, or ok=false when nothing is pending anywhere.
+// nextEpochStart is the one walk over the kernels at a barrier: it records
+// every shard's next event time and returns the earliest, or ok=false when
+// every queue is empty. The exchanger has already flushed, so no outbox
+// holds an earlier event.
 func (g *ShardGroup) nextEpochStart() (time.Duration, bool) {
-	var start time.Duration
-	ok := false
-	for _, k := range g.kernels {
-		if at, has := k.NextEventTime(); has && (!ok || at < start) {
-			start, ok = at, true
+	start := idle
+	for i, k := range g.kernels {
+		at, has := k.NextEventTime()
+		if !has {
+			at = idle
 		}
+		g.next[i] = at
+		start = min(start, at)
 	}
-	if at, has := g.exchange.Pending(); has && (!ok || at < start) {
-		start, ok = at, true
-	}
-	return start, ok
+	return start, start != idle
 }
 
-// runEpoch executes one epoch with the given exclusive horizon on every
-// shard, then accounts stats. It returns the first shard error.
+// runEpoch executes one epoch with the given exclusive horizon, then accounts
+// stats. Only shards with an event before the horizon run: with at most one,
+// the caller runs it inline; otherwise the caller runs the first and hands
+// the rest to their workers. A shard without work would fire nothing and
+// leave its clock alone, so skipping it changes no state. It returns the
+// first error in shard order.
 func (g *ShardGroup) runEpoch(horizon time.Duration) error {
-	var firstErr error
-	if g.sequential || g.closed {
-		for _, k := range g.kernels {
-			if err := k.RunBefore(horizon); err != nil && firstErr == nil {
-				firstErr = err
+	active := g.active[:0]
+	for s, at := range g.next {
+		if at < horizon {
+			active = append(active, s)
+		}
+	}
+	g.active = active
+
+	var err error
+	switch {
+	case len(active) <= 1 || g.sequential || g.closed:
+		for _, s := range active {
+			if e := g.kernels[s].RunBefore(horizon); e != nil && err == nil {
+				err = e
 			}
 		}
-	} else {
-		g.start()
-		for _, ch := range g.work {
-			ch <- horizon
+	default:
+		if !g.started {
+			g.startWorkers()
 		}
-		for range g.kernels {
-			if d := <-g.done; d.err != nil && firstErr == nil {
-				firstErr = d.err
+		for _, s := range active[1:] {
+			w := g.workers[s]
+			w.horizon = horizon
+			w.start.signal()
+		}
+		err = g.kernels[active[0]].RunBefore(horizon)
+		for _, s := range active[1:] {
+			w := g.workers[s]
+			w.done.await(w.start.n.Load())
+			if w.err != nil && err == nil {
+				err = w.err
 			}
 		}
 	}
+
 	g.stats.Epochs++
+	if len(active) <= 1 {
+		g.stats.InlineEpochs++
+	} else {
+		g.stats.Dispatched += uint64(len(active) - 1)
+	}
 	var epochMax uint64
-	for i, k := range g.kernels {
-		n := k.Executed() - g.prevEpoch[i]
-		g.prevEpoch[i] = k.Executed()
-		g.stats.EventsPerShard[i] += n
+	for _, s := range active {
+		executed := g.kernels[s].Executed()
+		n := executed - g.prevEpoch[s]
+		g.prevEpoch[s] = executed
+		g.stats.EventsPerShard[s] += n
 		g.stats.TotalEvents += n
-		if n > epochMax {
-			epochMax = n
-		}
+		epochMax = max(epochMax, n)
 	}
 	g.stats.CriticalPathEvents += epochMax
-	return firstErr
+	return err
 }
 
 // Run drains every shard: epochs advance until no kernel has a pending event

@@ -6,11 +6,11 @@ import "time"
 // per-shard kernels plus the coordinator bookkeeping (execution stats and the
 // per-shard executed counts used to attribute events to epochs); the epoch
 // structure itself is derived — the next epoch start is recomputed from the
-// kernel queues and the exchanger at every barrier, so capturing the kernels
-// at a barrier captures the whole schedule. Exchanger contents are the
-// caller's state, not the group's: snapshot/fork require empty outboxes
-// (callers such as bgp.ShardedNetwork enforce this) and the caller supplies
-// the fork's exchanger, already bound to the forked components.
+// kernel queues after every flush, so capturing the kernels at a barrier
+// captures the whole schedule. Exchanger contents are the caller's state, not
+// the group's: snapshot/fork require empty outboxes (callers such as
+// bgp.ShardedNetwork enforce this) and the caller supplies the fork's
+// exchanger, already bound to the forked components.
 
 // GroupSnapshot is a checkpoint of a ShardGroup taken at an epoch barrier:
 // one kernel Snapshot per shard plus the lookahead bound and the accumulated

@@ -69,19 +69,6 @@ func (e *handlerExchanger) Flush() int {
 	return n
 }
 
-func (e *handlerExchanger) Pending() (time.Duration, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var min time.Duration
-	ok := false
-	for _, m := range e.pending {
-		if !ok || m.at < min {
-			min, ok = m.at, true
-		}
-	}
-	return min, ok
-}
-
 func newTickWorld(t *testing.T, rounds uint64) *tickWorld {
 	t.Helper()
 	w := &tickWorld{kernels: []*Kernel{NewKernel(), NewKernel()}}

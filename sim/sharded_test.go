@@ -130,19 +130,6 @@ func (e *chanExchanger) Flush() int {
 	return n
 }
 
-func (e *chanExchanger) Pending() (time.Duration, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var min time.Duration
-	ok := false
-	for _, m := range e.pending {
-		if !ok || m.at < min {
-			min, ok = m.at, true
-		}
-	}
-	return min, ok
-}
-
 // pingPong builds a two-shard group where each shard bounces a message to the
 // other with latency exactly equal to the lookahead (the hardest legal case:
 // arrivals land exactly on epoch boundaries).
